@@ -912,6 +912,47 @@ func BenchmarkExtractFused(b *testing.B) {
 	})
 }
 
+// --- HTML sniff (the conversion gate every non-board document passes) ---
+
+// sniffSink defeats dead-code elimination of the sniff benchmark.
+var sniffSink bool
+
+// BenchmarkIsProbablyHTML measures htmltext.IsProbablyHTML on three corpus
+// documents: a plain paste (the dominant case), a board HTML fragment, and
+// a plain paste longer than the 2 KB sample. The probe allocates nothing,
+// and bench-check holds it to exactly 0 allocs/op.
+func BenchmarkIsProbablyHTML(b *testing.B) {
+	s, _ := parallelBenchSetup(b)
+	var plain, fragment, long string
+	corpus := s.Corpus()
+	for _, site := range textgen.AllSites() {
+		for _, d := range corpus.Streams[site] {
+			switch {
+			case d.HTML:
+				if fragment == "" {
+					fragment = d.Body
+				}
+			case len(d.Body) > 2048:
+				if long == "" {
+					long = d.Body
+				}
+			case plain == "":
+				plain = d.Body
+			}
+		}
+	}
+	for _, c := range []struct{ name, doc string }{
+		{"plain", plain}, {"html", fragment}, {"plain-long", long},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sniffSink = htmltext.IsProbablyHTML(c.doc)
+			}
+		})
+	}
+}
+
 // --- Streaming pipeline (the always-on service engine) ---
 
 // BenchmarkStreamThroughput drives full epochs of the always-on pipeline

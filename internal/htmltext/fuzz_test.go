@@ -35,3 +35,36 @@ func FuzzConvert(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSniffEquivalence holds the one-pass IsProbablyHTML to the original
+// eight-scan oracle on arbitrary bytes, including inputs longer than the
+// 2,048-byte sample.
+func FuzzSniffEquivalence(f *testing.F) {
+	pad := strings.Repeat("x", 2046)
+	seeds := []string{
+		"",
+		"plain text with no tags",
+		"x < y and y > z",
+		"<BR><Div>mixed</DIV><sPaN>",
+		"<a href=x>link</a>",
+		"<a>no space<a>",
+		"<A >upper anchor</A>",
+		"</",
+		"</</</",
+		"<p>" + pad[3:] + "<br>",
+		"<p>" + pad[2:] + "<br>",
+		pad + "<p><br>",
+		"<abbr><abbr></abbr>",
+		"<ſpan><ſpan>",
+		"<p>trailing<",
+		"<\x0f<a\x00<P\x10",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := IsProbablyHTML(s), isProbablyHTMLOracle(s); got != want {
+			t.Fatalf("IsProbablyHTML(%q) = %v, oracle = %v", s, got, want)
+		}
+	})
+}

@@ -229,46 +229,67 @@ func appendItoa(b []byte, n int) []byte {
 }
 
 // htmlMarkers are the tag probes IsProbablyHTML counts, ASCII-lowercase.
+// Every marker starts with '<', none holds a second '<', and no two share
+// a second byte, so at most one marker can begin at any '<' and two
+// occurrences of one marker never overlap.
 var htmlMarkers = [...]string{"<br", "<p", "<div", "<span", "<a ", "<ul", "<li", "</"}
 
+// sniffLen is how much of a document IsProbablyHTML looks at.
+const sniffLen = 2048
+
 // IsProbablyHTML reports whether a document looks like HTML rather than
-// plain text, so the pipeline can decide whether conversion is needed.
-// Marker counting is ASCII-case-insensitive over the raw sample — no
-// lowercased copy is materialized, so the probe allocates nothing.
+// plain text, so the pipeline can decide whether conversion is needed:
+// at least two markers must end within the first sniffLen bytes. The
+// probe is one pass that jumps from '<' to '<' and matches the markers
+// ASCII-case-insensitively in place, so it allocates nothing and skips
+// plain text at IndexByte speed.
 func IsProbablyHTML(s string) bool {
 	sample := s
-	if len(sample) > 2048 {
-		sample = sample[:2048]
+	if len(sample) > sniffLen {
+		sample = sample[:sniffLen]
 	}
 	tags := 0
-	for _, marker := range htmlMarkers {
-		tags += countFoldASCII(sample, marker)
+	for i := 0; i < len(sample); i++ {
+		j := strings.IndexByte(sample[i:], '<')
+		if j < 0 {
+			break
+		}
+		i += j
+		if markerAt(sample[i:]) {
+			tags++
+			if tags == 2 {
+				return true
+			}
+		}
 	}
-	return tags >= 2
+	return false
 }
 
-// countFoldASCII counts non-overlapping occurrences of the ASCII-lowercase
-// needle in s, folding A-Z in s on the fly.
-func countFoldASCII(s, needle string) int {
-	count := 0
-	for i := 0; i+len(needle) <= len(s); {
-		match := true
-		for j := 0; j < len(needle); j++ {
-			c := s[i+j]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			count++
-			i += len(needle)
-		} else {
-			i++
+// markerAt reports whether s begins with one of htmlMarkers, folding A-Z
+// in s on the fly.
+func markerAt(s string) bool {
+	for _, m := range htmlMarkers {
+		if hasPrefixFoldASCII(s, m) {
+			return true
 		}
 	}
-	return count
+	return false
+}
+
+// hasPrefixFoldASCII reports whether s begins with the ASCII-lowercase
+// prefix, folding only A-Z in s.
+func hasPrefixFoldASCII(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for j := 0; j < len(prefix); j++ {
+		c := s[j]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[j] {
+			return false
+		}
+	}
+	return true
 }

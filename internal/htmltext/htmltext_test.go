@@ -157,14 +157,43 @@ func TestCollapseBlankRuns(t *testing.T) {
 }
 
 func TestIsProbablyHTML(t *testing.T) {
-	if !IsProbablyHTML("<p>hello</p><br><div>x</div>") {
-		t.Error("obvious HTML not detected")
+	pad := func(n int) string { return strings.Repeat("x", n) }
+	cases := []struct {
+		name string
+		in   string
+		want bool
+	}{
+		{"obvious html", "<p>hello</p><br><div>x</div>", true},
+		{"plain dox text", "Name: John\nAddress: 12 Oak St\nPhone: 555-1234", false},
+		{"math text", "x < y and y > z", false},
+		{"empty", "", false},
+		{"exactly one marker", "see <p> here", false},
+		{"exactly two markers", "<p>hi<br>", true},
+		{"mixed case markers", "<BR>line<Div>block", true},
+		{"mixed case anchor and close", "<A HREF=x>y</A>", true},
+		{"closing tags only", "</b></i>", true},
+		{"anchor without space", "<a>one<a>two", false},
+		{"anchor with tab", "<a\thref=x><a\thref=y>", false},
+		{"abbr is not an anchor", "<abbr>x<abbr>y", false},
+		{"abbr close counts once", "<abbr>who</abbr>", false},
+		{"lt as last byte", "<p>text<", false},
+		{"lt as last sampled byte", "<p>" + pad(2044) + "<br>", false},
+		{"marker ends at the cut", "<p>" + pad(2042) + "<br>", true},
+		{"marker straddles the cut", "<p>" + pad(2043) + "<br>", false},
+		{"markers only after the cut", pad(2048) + "<p><br><div>", false},
+		{"non-ascii around lt", "\u00e9<p>\u00fc<br>\u00e9", true},
+		{"non-ascii after lt", "<\u00e9p><\u00fcbr>", false},
+		{"control bytes do not fold", "<\x0f<a\x00<P\x10", false},
+		{"long s does not fold to s", "<\u017fpan><\u017fpan>", false},
+		{"fullwidth lt is not a tag", "\uff1cp\uff1e\uff1cbr\uff1e", false},
 	}
-	if IsProbablyHTML("Name: John\nAddress: 12 Oak St\nPhone: 555-1234") {
-		t.Error("plain dox text misdetected as HTML")
-	}
-	if IsProbablyHTML("x < y and y > z") {
-		t.Error("math text misdetected as HTML")
+	for _, c := range cases {
+		if got := IsProbablyHTML(c.in); got != c.want {
+			t.Errorf("%s: IsProbablyHTML = %v, want %v", c.name, got, c.want)
+		}
+		if got := isProbablyHTMLOracle(c.in); got != c.want {
+			t.Errorf("%s: oracle = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -25,9 +25,9 @@ test-race:
 	$(GO) test -race ./...
 
 # Native fuzzing, 5s per target: every parser fed by the network (listing,
-# catalog, thread, Retry-After header, profile HTML) plus the text-pipeline
-# entry points. Each invocation names one target because go test allows
-# only one -fuzz pattern per package run.
+# catalog, thread, Retry-After header, profile HTML), the model-file loader
+# and the text-pipeline entry points. Each invocation names one target
+# because go test allows only one -fuzz pattern per package run.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseListing -fuzztime=$(FUZZTIME) -run NONE ./internal/crawler
@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTransform -fuzztime=$(FUZZTIME) -run NONE ./internal/tfidf
 	$(GO) test -fuzz=FuzzNormalizeEquivalence -fuzztime=$(FUZZTIME) -run NONE ./internal/dedup
 	$(GO) test -fuzz=FuzzScorerEquivalence -fuzztime=$(FUZZTIME) -run NONE ./internal/classifier
+	$(GO) test -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -run NONE ./internal/classifier
 	$(GO) test -fuzz=FuzzDeltaCodecRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/store
 
 # Long chaos soak: the full chaos suites under the race detector, including
@@ -100,7 +101,7 @@ bench:
 # incremental-day budget honest. Calibrate is the fixed machine-speed
 # reference benchjson uses to normalize the gate against CPU-frequency
 # and noisy-neighbor drift between the baseline run and the check run.
-HOT_BENCH = Calibrate|IsProbablyHTML|ClassifyHot|ClassifyReference|TokenizeZeroAlloc|Extract$$|ExtractFused|CheckpointDelta|CheckpointCompaction|StreamThroughput|AlertFanout|ShardedStudy
+HOT_BENCH = Calibrate|IsProbablyHTML|ClassifyHot|ClassifyCorpus|ClassifyReference|TokenizeZeroAlloc|Extract$$|ExtractFused|CheckpointDelta|CheckpointCompaction|StreamThroughput|AlertFanout|ShardedStudy
 
 # Faster spot check of the headline artifacts.
 bench-quick:

@@ -836,6 +836,34 @@ func BenchmarkClassifyHot(b *testing.B) {
 	}
 }
 
+// BenchmarkClassifyCorpus cycles the fused classify path over the 4,000
+// shared corpus documents, converted to text the way the study's prepare
+// stage converts them, so each op is one real document with a cold-ish
+// scorer working set rather than one cache-warm document. bench-check
+// holds it to exactly 0 allocs/op.
+func BenchmarkClassifyCorpus(b *testing.B) {
+	s, docs := parallelBenchSetup(b)
+	texts := make([]string, len(docs))
+	for i, d := range docs {
+		texts[i] = d.Body
+		if d.HTML || htmltext.IsProbablyHTML(d.Body) {
+			texts[i] = htmltext.Convert(d.Body)
+		}
+	}
+	var r classifier.Result
+	// One untimed pass after the harness's GC puts a scorer back in the
+	// classifier's pool with its buffers grown to the largest document,
+	// so the timed loop measures the steady state, not the pool refill.
+	for _, text := range texts {
+		s.Classifier.ScoreInto(text, &r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Classifier.ScoreInto(texts[i%len(texts)], &r)
+	}
+}
+
 // BenchmarkClassifyReference is the same classification through the original
 // sparse path (Transform into a materialized vector, Decision, Tokenize for
 // the length floor) — the baseline the fused kernel is measured against.

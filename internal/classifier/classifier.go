@@ -307,13 +307,22 @@ func (c *Classifier) Save(w io.Writer) error {
 	})
 }
 
-// Load restores a classifier saved with Save.
+// Load restores a classifier saved with Save. A model file is untrusted
+// input: Load rejects any vocabulary whose indices are not a permutation of
+// the IDF positions, and a weight vector of a different length, so a
+// malformed file fails here instead of panicking or miscounting in Score.
 func Load(r io.Reader) (*Classifier, error) {
 	var p persisted
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, err
 	}
-	vec := tfidf.Restore(p.Vocab, p.IDF, p.NDocs, p.TFIDFOpts)
+	if len(p.Weights) != len(p.IDF) {
+		return nil, fmt.Errorf("classifier: load: %d weights for %d idf entries", len(p.Weights), len(p.IDF))
+	}
+	vec, err := tfidf.Restore(p.Vocab, p.IDF, p.NDocs, p.TFIDFOpts)
+	if err != nil {
+		return nil, fmt.Errorf("classifier: load: %w", err)
+	}
 	model := sgd.New(len(p.Weights), p.SGDOpts)
 	model.Weights = p.Weights
 	model.Intercept = p.Intercept

@@ -2,6 +2,7 @@ package classifier
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
@@ -280,6 +281,64 @@ func TestDeterministicTraining(t *testing.T) {
 	for _, ex := range exs[:100] {
 		if a.Score(ex.Body) != b.Score(ex.Body) {
 			t.Fatal("identical seeds produced different classifiers")
+		}
+	}
+}
+
+// TestLoadRejectsMalformed feeds Load hand-built model files whose
+// vocabulary indices or weight vector break the invariant scoring relies
+// on; each must fail to load rather than panic or miscount in Score.
+func TestLoadRejectsMalformed(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		vocab   map[string]int
+		idf     []float64
+		weights []float64
+	}{
+		{"index past idf", map[string]int{"ab": 5}, []float64{1}, []float64{1}},
+		{"negative index", map[string]int{"ab": -1}, []float64{1}, []float64{1}},
+		{"duplicate index", map[string]int{"ab": 0, "cd": 0}, []float64{1, 1}, []float64{1, 1}},
+		{"fewer terms than idf", map[string]int{"ab": 0}, []float64{1, 1}, []float64{1, 1}},
+		{"more terms than idf", map[string]int{"ab": 0, "cd": 1}, []float64{1}, []float64{1}},
+		{"short weights", map[string]int{"ab": 0, "cd": 1}, []float64{1, 1}, []float64{1}},
+		{"long weights", map[string]int{"ab": 0}, []float64{1}, []float64{1, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(persisted{Vocab: c.vocab, IDF: c.idf, Weights: c.weights}); err != nil {
+				t.Fatal(err)
+			}
+			if clf, err := Load(&buf); err == nil {
+				t.Fatalf("malformed model loaded (vocab %v, %d idf, %d weights); Score(\"ab cd\") = %v",
+					c.vocab, len(c.idf), len(c.weights), clf.Score("ab cd"))
+			}
+		})
+	}
+}
+
+// TestLoadAcceptsPermutation is the positive side of the check: any
+// permutation of [0, len(IDF)) loads and scores, including an empty model.
+func TestLoadAcceptsPermutation(t *testing.T) {
+	for _, vocab := range []map[string]int{
+		{},
+		{"ab": 0},
+		{"zz": 0, "ab": 2, "averyverylongterm": 1},
+	} {
+		p := persisted{Vocab: vocab, IDF: make([]float64, len(vocab)), Weights: make([]float64, len(vocab))}
+		for i := range p.IDF {
+			p.IDF[i], p.Weights[i] = 1, float64(i+1)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		clf, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("vocab %v: %v", vocab, err)
+		}
+		doc := "ab zz AVeryVeryLongTerm ab"
+		if got, want := clf.Score(doc), clf.ScoreReference(doc); got != want {
+			t.Fatalf("vocab %v: fused %v != reference %v", vocab, got, want)
 		}
 	}
 }

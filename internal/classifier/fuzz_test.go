@@ -1,6 +1,8 @@
 package classifier
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"strings"
@@ -59,6 +61,20 @@ func FuzzScorerEquivalence(f *testing.F) {
 		"user_99 mixed123 __ 99",
 		"\xff\xfe broken \xc3 utf8",
 		strings.Repeat("name age city ", 30),
+		// Word-mask tokenizer edges: 8- and 9-byte tokens sharing a
+		// prefix, tokens straddling the 8-byte boundaries, a document
+		// ending exactly on one, a non-ASCII byte first met after the first
+		// word, uppercase at each byte of an 8-byte key, and the bytes just
+		// outside each word-character range.
+		"password passwords PASSWORD Passwords",
+		"x password y passwords z",
+		"   address  addresses",
+		"name age",
+		"name age city st",
+		"phone email é name",
+		strings.Repeat("name ", 4) + "東京",
+		"Password pAssword paSsword pasSword passWord passwOrd passwoRd passworD",
+		"a/b a:b a@b a[b a\\b a`b a{b a_b /0/ :9: @A@ [Z[ `a` {z{ __",
 	} {
 		f.Add(s)
 	}
@@ -137,4 +153,50 @@ func TestScoreBatchIntoShortOut(t *testing.T) {
 		}
 	}()
 	clf.ScoreBatchInto([]string{"a", "b"}, make([]Result, 1), 1)
+}
+
+// FuzzLoad feeds arbitrary bytes to Load, the parser behind doxdetect
+// -model. Every input must either fail to load or yield a classifier that
+// scores a fixed document set, fused and reference paths alike, without
+// panicking.
+func FuzzLoad(f *testing.F) {
+	for _, clf := range fuzzClassifiers(f) {
+		var buf bytes.Buffer
+		if err := clf.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, p := range []persisted{
+		{Vocab: map[string]int{"ab": 5}, IDF: []float64{1}, Weights: []float64{1}},
+		{Vocab: map[string]int{"ab": -1}, IDF: []float64{1}, Weights: []float64{1}},
+		{Vocab: map[string]int{"ab": 0, "cd": 0}, IDF: []float64{1, 1}, Weights: []float64{1, 1}},
+		{Vocab: map[string]int{"name": 0, "address": 1}, IDF: []float64{1, 2}, Weights: []float64{0.5}},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("not a gob stream"))
+	docs := []string{
+		"",
+		"ab cd",
+		"name john smith address 12 main st phone 555 0100",
+		"café 東京 résumé user_99 MIXED123",
+		strings.Repeat("victim info leak account password ", 6),
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clf, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, doc := range docs {
+			var r Result
+			clf.ScoreInto(doc, &r)
+			_ = clf.ScoreReference(doc)
+		}
+		_ = clf.ScoreBatch(docs, 2)
+	})
 }

@@ -1,25 +1,29 @@
 // Fused zero-allocation inference kernel. A Scorer runs the whole
 // per-document funnel — tokenize → TF accumulation → IDF weighting → L2
-// normalization → dense weight-vector dot product — in a single pass over
-// the input bytes, without materializing per-token strings, a term-count
-// map, or a sparse Vector. It is the hot path behind classifier.ScoreInto;
-// the Transform/Decision pair stays as the reference implementation, and
-// the two are bit-identical as float64 (enforced by unit, property, fuzz
-// and whole-study equivalence tests).
+// normalization → dense weight-vector dot product — over the input bytes,
+// without materializing per-token strings, a term-count map, or a sparse
+// Vector. It is the hot path behind classifier.ScoreInto; the
+// Transform/Decision pair stays as the reference implementation, and the
+// two are bit-identical as float64 (enforced by unit, property, fuzz,
+// corpus-wide and whole-study equivalence tests).
 //
 // Equivalence contract, operation by operation:
 //
 //   - Tokens are maximal runs of Unicode word characters with rune length
 //     >= 2, lowercased rune-wise — exactly Tokenize's semantics, including
-//     the multibyte rune-vs-byte length rule. The ASCII fast path lowers
-//     bytes in place; the rune fallback applies unicode.ToLower, which is
-//     what strings.ToLower does per rune.
-//   - Term frequencies accumulate in a dense scratch array indexed by
-//     vocabulary position, with a touched-index list replacing the
-//     map[int]float64; counts are order-independent, so totals match.
-//   - The touched list is sorted ascending before any float math, so the
-//     norm and dot accumulate in exactly the index order the reference
-//     path uses after its sort.Slice.
+//     the multibyte rune-vs-byte length rule. The word-mask path handles
+//     all-ASCII documents, where runes are bytes and lowercasing is ASCII
+//     only; any other document takes the rune path, which applies
+//     unicode.ToLower, what strings.ToLower does per rune (tokens.go).
+//   - Each token is probed in the vocabulary table, the Vectorizer's one
+//     vocabulary representation, which Transform probes too (table.go).
+//   - Term frequencies accumulate as integer counts in a dense scratch
+//     array indexed by term id; a count is converted to float64 exactly,
+//     so it equals the reference's float64 increments.
+//   - Every count also sets bits in a two-level bitmap over term ids.
+//     Walking it word by word, lowest set bit first, visits the touched
+//     ids in ascending order, so the norm and dot accumulate in exactly
+//     the index order the reference path uses after its sort.Slice.
 //   - Every float64 expression mirrors the reference: value = tf*idf
 //     (or (1+ln tf)*idf), normSq += value*value, norm = Sqrt(normSq),
 //     contribution = weights[idx] * (value/norm). Same operands, same
@@ -31,181 +35,142 @@ package tfidf
 
 import (
 	"math"
-	"slices"
-	"unicode"
-	"unicode/utf8"
+	"math/bits"
 )
-
-// asciiWordLower maps an ASCII byte to its lowercased form if it is a word
-// character ([0-9A-Za-z_]), else 0.
-var asciiWordLower [128]byte
-
-func init() {
-	for b := byte('0'); b <= '9'; b++ {
-		asciiWordLower[b] = b
-	}
-	for b := byte('a'); b <= 'z'; b++ {
-		asciiWordLower[b] = b
-	}
-	for b := byte('A'); b <= 'Z'; b++ {
-		asciiWordLower[b] = b + ('a' - 'A')
-	}
-	asciiWordLower['_'] = '_'
-}
 
 // Scorer is a reusable fused-inference kernel bound to a fitted
 // Vectorizer. Create one per worker with NewScorer.
 type Scorer struct {
 	vz *Vectorizer
+	z  tokenizer
 
-	tf      []float64 // dense term frequencies, indexed by vocab position
-	touched []int     // vocab indices with tf > 0, reset by walking this list
-	tok     []byte    // current token, lowercased, reused across tokens
-	prev    []byte    // previous emitted token (bigram mode)
+	counts  []uint32  // dense term counts, indexed by term id
+	lo      []uint64  // bit id set when counts[id] > 0
+	hi      []uint64  // bit w set when lo[w] != 0
+	touched []int     // touched ids in ascending order, filled by walk
+	values  []float64 // values[i] is the TF-IDF value of touched[i]
 	bigram  []byte    // bigram key scratch ("prev cur")
-	tokens  int       // unigram tokens seen by the last scan
 }
 
 // NewScorer returns a fused-inference kernel over the fitted vocabulary.
-// The scorer holds a dense float64 scratch of VocabSize entries; share the
+// The scorer holds a dense count scratch of VocabSize entries; share the
 // Vectorizer, not the Scorer, across goroutines.
 func (vz *Vectorizer) NewScorer() *Scorer {
-	return &Scorer{
+	s := &Scorer{
 		vz:      vz,
-		tf:      make([]float64, len(vz.idf)),
 		touched: make([]int, 0, 256),
-		tok:     make([]byte, 0, 64),
-		prev:    make([]byte, 0, 64),
+		values:  make([]float64, 0, 256),
 		bigram:  make([]byte, 0, 128),
 	}
+	s.z.keys = make([]tokKey, 0, 256)
+	s.z.tok = make([]byte, 0, 64)
+	s.size()
+	return s
 }
 
-// reset clears the dense scratch by walking the touched list, so cost is
-// proportional to the previous document, not the vocabulary.
-func (s *Scorer) reset() {
-	if len(s.tf) != len(s.vz.idf) {
-		// The vectorizer was fitted after this scorer was built (a pooled
-		// pre-fit scorer): resize the dense scratch to the live vocabulary.
-		s.tf = make([]float64, len(s.vz.idf))
-		s.touched = s.touched[:0]
+// size fits the dense scratch to the vectorizer's vocabulary. It only
+// reallocates for a scorer built before the vectorizer was fitted (a
+// pooled pre-fit scorer).
+func (s *Scorer) size() {
+	if n := len(s.vz.idf); len(s.counts) != n {
+		s.counts = make([]uint32, n)
+		s.lo = make([]uint64, (n+63)/64)
+		s.hi = make([]uint64, (len(s.lo)+63)/64)
 	}
-	for _, idx := range s.touched {
-		s.tf[idx] = 0
-	}
-	s.touched = s.touched[:0]
-	s.prev = s.prev[:0]
-	s.tokens = 0
 }
 
-// addTerm folds a token (already lowercased) into the TF scratch, plus the
-// adjacent bigram when the vectorizer was fitted with Bigrams. The vocab
-// lookups convert the scratch buffer with string(...) directly in the map
-// index expression, which the compiler performs without allocating.
-func (s *Scorer) addTerm(tok []byte) {
-	if idx, ok := s.vz.vocab[string(tok)]; ok {
-		if s.tf[idx] == 0 {
-			s.touched = append(s.touched, idx)
+// collect tokenizes doc and counts its in-vocabulary terms, plus adjacent
+// bigrams when the vectorizer was fitted with Bigrams. Every token key
+// exists before the first probe, so the probe loop does nothing else.
+func (s *Scorer) collect(doc string) {
+	s.size()
+	s.z.scan(doc)
+	t := &s.vz.table
+	for _, k := range s.z.keys {
+		var id int
+		if k.n <= shortKey {
+			id = t.findShort(k.key, k.n)
+		} else {
+			term := s.z.long[k.key : k.key+uint64(k.n)]
+			id = findLong(t, term, hashKey(term))
 		}
-		s.tf[idx]++
+		if id >= 0 {
+			s.touch(id)
+		}
 	}
 	if s.vz.opts.Bigrams {
-		if len(s.prev) > 0 {
-			s.bigram = append(s.bigram[:0], s.prev...)
+		for i := 1; i < len(s.z.keys); i++ {
+			s.bigram = s.z.appendTerm(s.bigram[:0], s.z.keys[i-1])
 			s.bigram = append(s.bigram, ' ')
-			s.bigram = append(s.bigram, tok...)
-			if idx, ok := s.vz.vocab[string(s.bigram)]; ok {
-				if s.tf[idx] == 0 {
-					s.touched = append(s.touched, idx)
-				}
-				s.tf[idx]++
+			s.bigram = s.z.appendTerm(s.bigram, s.z.keys[i])
+			if id := lookup(t, s.bigram); id >= 0 {
+				s.touch(id)
 			}
 		}
-		s.prev = append(s.prev[:0], tok...)
 	}
 }
 
-// eachToken is the single-pass byte-level tokenizer shared by the scorer's
-// hot path and Fit's vocabulary pass. ASCII word bytes take the table fast
-// path; anything else falls back to rune decoding so the \w\w+ rune-length
-// semantics match Tokenize exactly, including the multibyte rune-vs-byte
-// length rule (invalid UTF-8 decodes to RuneError, which is not a word
-// character — the same separator behaviour a range loop gives the reference
-// tokenizer). fn receives each token's lowercased bytes in a scratch slice
-// valid only for the duration of the call; buf is the reusable scratch,
-// returned (possibly grown) for the caller to keep. fn must not retain or
-// let its argument escape, or the whole pass allocates.
-func eachToken(doc string, buf []byte, fn func(tok []byte)) []byte {
-	tokRunes := 0
-	tok := buf[:0]
-	flush := func() {
-		if tokRunes >= 2 {
-			fn(tok)
-		}
-		tokRunes = 0
-		tok = tok[:0]
-	}
-	for i := 0; i < len(doc); {
-		if b := doc[i]; b < utf8.RuneSelf {
-			if c := asciiWordLower[b]; c != 0 {
-				tok = append(tok, c)
-				tokRunes++
-			} else if tokRunes > 0 {
-				flush()
-			}
-			i++
+// touch counts one occurrence of term id. Setting the bitmap bits
+// unconditionally is idempotent and spares a branch that goes either way
+// on roughly every other token.
+func (s *Scorer) touch(id int) {
+	s.lo[id>>6] |= 1 << (id & 63)
+	s.hi[id>>12] |= 1 << ((id >> 6) & 63)
+	s.counts[id]++
+}
+
+// walk drains the bitmap in ascending id order into touched and values,
+// computing each value as Transform does and leaving the counts and the
+// bitmap zeroed for the next document. It returns the squared L2 norm,
+// accumulated in ascending id order.
+func (s *Scorer) walk() (normSq float64) {
+	s.touched, s.values = s.touched[:0], s.values[:0]
+	sublinear, idf := s.vz.opts.SublinearTF, s.vz.idf
+	for hw, h := range s.hi {
+		if h == 0 {
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(doc[i:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			tok = utf8.AppendRune(tok, unicode.ToLower(r))
-			tokRunes++
-		} else if tokRunes > 0 {
-			flush()
+		s.hi[hw] = 0
+		for ; h != 0; h &= h - 1 {
+			lw := hw<<6 | bits.TrailingZeros64(h)
+			l := s.lo[lw]
+			s.lo[lw] = 0
+			for ; l != 0; l &= l - 1 {
+				id := lw<<6 | bits.TrailingZeros64(l)
+				tf := float64(s.counts[id])
+				s.counts[id] = 0
+				if sublinear {
+					tf = 1 + math.Log(tf)
+				}
+				v := tf * idf[id]
+				normSq += v * v
+				s.touched = append(s.touched, id)
+				s.values = append(s.values, v)
+			}
 		}
-		i += size
 	}
-	flush()
-	return tok
-}
-
-// scan walks doc's tokens. When collect is true each token is folded into
-// the TF scratch; either way s.tokens counts the unigram tokens.
-func (s *Scorer) scan(doc string, collect bool) {
-	s.tok = eachToken(doc, s.tok, func(tok []byte) {
-		s.tokens++
-		if collect {
-			s.addTerm(tok)
-		}
-	})
+	return normSq
 }
 
 // TokenCount returns the document's unigram token count — identical to
 // len(Tokenize(doc)) — without allocating.
 func (s *Scorer) TokenCount(doc string) int {
-	s.reset()
-	s.scan(doc, false)
-	return s.tokens
+	s.z.scan(doc)
+	return len(s.z.keys)
 }
 
 // DotNormalized computes the inner product of the document's L2-normalized
 // TF-IDF vector with the dense weight vector, plus the document's unigram
-// token count, in one fused pass and with zero steady-state allocations.
-// The result is bit-identical to weightsDot(vz.Transform(doc)): same token
-// set, same accumulation order, same float64 operations.
+// token count, with zero steady-state allocations. The result is
+// bit-identical to weightsDot(vz.Transform(doc)): same token set, same
+// accumulation order, same float64 operations.
 func (s *Scorer) DotNormalized(doc string, weights []float64) (dot float64, tokens int) {
-	s.reset()
-	s.scan(doc, true)
-	slices.Sort(s.touched)
-	var normSq float64
-	for _, idx := range s.touched {
-		v := s.value(idx)
-		normSq += v * v
-	}
+	s.collect(doc)
 	// Mirror the reference exactly: Transform normalizes only when the
 	// norm is positive (an empty vector keeps norm 0 and dot 0).
-	norm := math.Sqrt(normSq)
-	for _, idx := range s.touched {
-		v := s.value(idx)
+	norm := math.Sqrt(s.walk())
+	for i, idx := range s.touched {
+		v := s.values[i]
 		if norm > 0 {
 			v /= norm
 		}
@@ -213,7 +178,7 @@ func (s *Scorer) DotNormalized(doc string, weights []float64) (dot float64, toke
 			dot += weights[idx] * v
 		}
 	}
-	return dot, s.tokens
+	return dot, len(s.z.keys)
 }
 
 // Vector materializes the document's normalized TF-IDF vector through the
@@ -222,12 +187,11 @@ func (s *Scorer) DotNormalized(doc string, weights []float64) (dot float64, toke
 // ascending index order exactly as the reference does after its sort. Only
 // the returned Vector allocates.
 func (s *Scorer) Vector(doc string) Vector {
-	s.reset()
-	s.scan(doc, true)
-	slices.Sort(s.touched)
-	vec := make(Vector, 0, len(s.touched))
-	for _, idx := range s.touched {
-		vec = append(vec, Feature{Index: idx, Value: s.value(idx)})
+	s.collect(doc)
+	s.walk()
+	vec := make(Vector, len(s.touched))
+	for i, idx := range s.touched {
+		vec[i] = Feature{Index: idx, Value: s.values[i]}
 	}
 	if n := vec.Norm(); n > 0 {
 		for i := range vec {
@@ -235,13 +199,4 @@ func (s *Scorer) Vector(doc string) Vector {
 		}
 	}
 	return vec
-}
-
-// value reproduces Transform's per-feature weight for a touched index.
-func (s *Scorer) value(idx int) float64 {
-	tf := s.tf[idx]
-	if s.vz.opts.SublinearTF {
-		tf = 1 + math.Log(tf)
-	}
-	return tf * s.vz.idf[idx]
 }

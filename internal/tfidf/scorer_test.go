@@ -29,6 +29,7 @@ func scorerFixture(opts Options) (*Vectorizer, []float64) {
 		"café 東京 héllo wörld naïve résumé",
 		"user_99 snake_case user_99 mixed123 mixed123 mixed123",
 		"dox drop name age city state zip paypal skype",
+		"abcdefgh abcdefghi abcdefghij straddle a_b _x 0_9 name_address phone99",
 	})
 	weights := make([]float64, vz.VocabSize())
 	for i := range weights {
@@ -53,6 +54,41 @@ var scorerDocs = []string{
 	"ſ Kelvin K the fox", // case-fold oddballs
 }
 
+// kernelEdgeDocs covers the word-mask tokenizer's edges: 8- and 9-byte
+// tokens sharing a prefix, tokens straddling every eight-byte boundary,
+// documents ending at every offset (so on each boundary), non-ASCII bytes
+// first met after the first word, an uppercase letter at every byte of an
+// 8-byte key, and the bytes just outside each word-character range
+// ('/' ':' '@' '[' '`' '{') plus '_' and the other bytes the 0x20 fold moves.
+func kernelEdgeDocs() []string {
+	docs := []string{
+		"abcdefgh abcdefghi abcdefghij abcdefg",
+		"ABCDEFGH ABCDEFGHI AbCdEfGhI",
+		"the fox é name",
+		"abcdefgh" + "é" + "name abcdefgh",
+		"name phone email\xff abcdefghi",
+		strings.Repeat("name ", 9) + "東京 name",
+		"a/b a:b a@b a[b a\\b a`b a{b a_b a^b a]b a\x7fb a\x00b",
+		"/0/ :9: @A@ [Z[ `a` {z{ _ __ x_ _x 0_9 a_b",
+		"/:@[\\`{_^]\x7f\x00\x01 straddle",
+		"_x_x_x_x_x_x 0_9 A_B",
+	}
+	for off := 0; off < 9; off++ {
+		docs = append(docs, strings.Repeat(" ", off)+"abcdefgh abcdefghi straddle name_address")
+		docs = append(docs, strings.Repeat("é", off)+"abcdefghi straddle")
+	}
+	const tail = "name_address phone99 abcdefghi straddle"
+	for n := 1; n <= len(tail); n++ {
+		docs = append(docs, tail[:n])
+	}
+	for i := 0; i < 8; i++ {
+		key := []byte("abcdefgh")
+		key[i] -= 'a' - 'A'
+		docs = append(docs, string(key), string(key)+" "+string(key)+"i")
+	}
+	return docs
+}
+
 // TestScorerMatchesTransform is the kernel's equivalence bar at the tfidf
 // layer: DotNormalized must be bit-identical to dotting the reference
 // Transform output, and the token count must equal len(Tokenize), for every
@@ -67,7 +103,7 @@ func TestScorerMatchesTransform(t *testing.T) {
 	} {
 		vz, weights := scorerFixture(opts)
 		s := vz.NewScorer()
-		for _, doc := range scorerDocs {
+		for _, doc := range append(kernelEdgeDocs(), scorerDocs...) {
 			want := refDot(vz.Transform(doc), weights)
 			got, tokens := s.DotNormalized(doc, weights)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -115,7 +151,7 @@ func TestScorerShortWeights(t *testing.T) {
 func TestScorerTokenCount(t *testing.T) {
 	vz, _ := scorerFixture(Options{})
 	s := vz.NewScorer()
-	for _, doc := range scorerDocs {
+	for _, doc := range append(kernelEdgeDocs(), scorerDocs...) {
 		if got, want := s.TokenCount(doc), len(Tokenize(doc)); got != want {
 			t.Errorf("TokenCount(%q) = %d, want %d", doc, got, want)
 		}
@@ -184,7 +220,10 @@ func TestSnapshotAliasing(t *testing.T) {
 
 	// Restore must also defend against later mutation of its inputs.
 	vocab2, idf2, _, _ := vz.Snapshot()
-	restored := Restore(vocab2, idf2, nDocs, opts)
+	restored, err := Restore(vocab2, idf2, nDocs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := restored.Transform(doc)
 	for t2 := range vocab2 {
 		vocab2[t2] = 0

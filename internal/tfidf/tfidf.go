@@ -16,6 +16,7 @@
 package tfidf
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -106,7 +107,7 @@ type Options struct {
 // and safe for concurrent Transform calls.
 type Vectorizer struct {
 	opts  Options
-	vocab map[string]int
+	table vocabTable // term → id; ids index idf
 	idf   []float64
 	nDocs int
 }
@@ -116,11 +117,12 @@ func NewVectorizer(opts Options) *Vectorizer {
 	if opts.MinDF < 1 {
 		opts.MinDF = 1
 	}
-	return &Vectorizer{opts: opts}
+	// One empty slot: every probe of the unfitted vocabulary misses.
+	return &Vectorizer{opts: opts, table: vocabTable{slots: make([]slot, 1)}}
 }
 
 // VocabSize returns the fitted vocabulary size.
-func (vz *Vectorizer) VocabSize() int { return len(vz.vocab) }
+func (vz *Vectorizer) VocabSize() int { return len(vz.idf) }
 
 // NumDocs returns the size of the fitting corpus.
 func (vz *Vectorizer) NumDocs() int { return vz.nDocs }
@@ -139,12 +141,12 @@ func (vz *Vectorizer) terms(text string) []string {
 }
 
 // Fit learns the vocabulary and IDF weights from the corpus. The pass runs
-// through the byte-level scanner shared with the fused scorer, so no
-// per-token []string or ToLower copies are materialized: the only string
-// allocations are the one canonical key per distinct term. Document
-// frequency is tracked with a last-seen document index instead of a
-// per-document seen set, which counts each term at most once per document
-// exactly as the reference two-map formulation did.
+// through the tokenizer shared with the fused scorer, so no per-token
+// []string or ToLower copies are materialized: the only string allocations
+// are the one canonical key per distinct term. Document frequency is
+// tracked with a last-seen document index instead of a per-document seen
+// set, which counts each term at most once per document exactly as the
+// reference two-map formulation did.
 func (vz *Vectorizer) Fit(docs []string) {
 	// df is per-term document frequency, last the last-seen document index
 	// (int32: corpora are far below 2^31 documents). Stats live in one
@@ -154,11 +156,10 @@ func (vz *Vectorizer) Fit(docs []string) {
 	type dfStat struct{ df, last int32 }
 	idx := make(map[string]int32)
 	slab := make([]dfStat, 0, 1024)
-	tok := make([]byte, 0, 64)
-	var prev, bigram []byte
+	var z tokenizer
+	var term []byte
 	for di, d := range docs {
 		di32 := int32(di)
-		prev = prev[:0]
 		note := func(key []byte) {
 			if i, ok := idx[string(key)]; ok {
 				if e := &slab[i]; e.last != di32 {
@@ -170,16 +171,16 @@ func (vz *Vectorizer) Fit(docs []string) {
 			idx[string(key)] = int32(len(slab))
 			slab = append(slab, dfStat{df: 1, last: di32})
 		}
-		tok = eachToken(d, tok, func(t []byte) {
-			note(t)
-			if vz.opts.Bigrams {
-				if len(prev) > 0 {
-					bigram = append(append(append(bigram[:0], prev...), ' '), t...)
-					note(bigram)
-				}
-				prev = append(prev[:0], t...)
+		z.scan(d)
+		for i, k := range z.keys {
+			term = z.appendTerm(term[:0], k)
+			note(term)
+			if vz.opts.Bigrams && i > 0 {
+				term = append(z.appendTerm(term[:0], z.keys[i-1]), ' ')
+				term = z.appendTerm(term, k)
+				note(term)
 			}
-		})
+		}
 	}
 	terms := make([]string, 0, len(idx))
 	for t, i := range idx {
@@ -188,11 +189,14 @@ func (vz *Vectorizer) Fit(docs []string) {
 		}
 	}
 	sort.Strings(terms) // deterministic index assignment
-	vz.vocab = make(map[string]int, len(terms))
+	table, err := buildTable(terms, tableCapacity(len(terms)))
+	if err != nil {
+		panic(err) // the corpus's distinct long terms alone exceed 4 GiB
+	}
+	vz.table = table
 	vz.idf = make([]float64, len(terms))
 	vz.nDocs = len(docs)
 	for i, t := range terms {
-		vz.vocab[t] = i
 		// Smoothed IDF, sklearn formula.
 		vz.idf[i] = math.Log(float64(1+vz.nDocs)/float64(1+slab[idx[t]].df)) + 1
 	}
@@ -203,7 +207,7 @@ func (vz *Vectorizer) Fit(docs []string) {
 func (vz *Vectorizer) Transform(doc string) Vector {
 	counts := make(map[int]float64)
 	for _, t := range vz.terms(doc) {
-		if idx, ok := vz.vocab[t]; ok {
+		if idx := lookup(&vz.table, t); idx >= 0 {
 			counts[idx]++
 		}
 	}
@@ -243,27 +247,40 @@ func (vz *Vectorizer) FitTransform(docs []string) []Vector {
 }
 
 // Snapshot exports the fitted state for persistence. The returned map and
-// slice are deep copies: a Vectorizer is immutable after Fit, and handing
-// out the live vocab/idf would let a caller's mutation corrupt every
-// concurrent Transform.
+// slice are fresh copies: a Vectorizer is immutable after Fit, and handing
+// out live state would let a caller's mutation corrupt every concurrent
+// Transform. The map is rebuilt from the vocabulary table.
 func (vz *Vectorizer) Snapshot() (vocab map[string]int, idf []float64, nDocs int, opts Options) {
-	vocab = make(map[string]int, len(vz.vocab))
-	for t, i := range vz.vocab {
-		vocab[t] = i
-	}
 	idf = make([]float64, len(vz.idf))
 	copy(idf, vz.idf)
-	return vocab, idf, vz.nDocs, vz.opts
+	return vz.table.terms(), idf, vz.nDocs, vz.opts
 }
 
-// Restore rebuilds a fitted vectorizer from a Snapshot. It copies its
-// inputs for the same immutability reason Snapshot does.
-func Restore(vocab map[string]int, idf []float64, nDocs int, opts Options) *Vectorizer {
-	v := make(map[string]int, len(vocab))
+// Restore rebuilds a fitted vectorizer from a Snapshot, copying its inputs
+// for the same immutability reason Snapshot does. Persisted state crosses
+// a trust boundary, so Restore checks the invariant every lookup relies
+// on: the vocabulary indices are a permutation of [0, len(idf)).
+func Restore(vocab map[string]int, idf []float64, nDocs int, opts Options) (*Vectorizer, error) {
+	if len(vocab) != len(idf) {
+		return nil, fmt.Errorf("tfidf: restore: %d vocabulary terms for %d idf weights", len(vocab), len(idf))
+	}
+	terms := make([]string, len(idf))
+	seen := make([]bool, len(idf))
 	for t, i := range vocab {
-		v[t] = i
+		if i < 0 || i >= len(idf) {
+			return nil, fmt.Errorf("tfidf: restore: term %q has index %d outside [0, %d)", t, i, len(idf))
+		}
+		if seen[i] {
+			return nil, fmt.Errorf("tfidf: restore: index %d assigned to more than one term", i)
+		}
+		seen[i] = true
+		terms[i] = t
+	}
+	table, err := buildTable(terms, tableCapacity(len(terms)))
+	if err != nil {
+		return nil, fmt.Errorf("tfidf: restore: %w", err)
 	}
 	f := make([]float64, len(idf))
 	copy(f, idf)
-	return &Vectorizer{opts: opts, vocab: v, idf: f, nDocs: nDocs}
+	return &Vectorizer{opts: opts, table: table, idf: f, nDocs: nDocs}, nil
 }

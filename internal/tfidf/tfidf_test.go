@@ -119,8 +119,8 @@ func TestIDFWeighting(t *testing.T) {
 	vecs := vz.FitTransform(docs)
 	v := vecs[0]
 	var commonW, rareW float64
-	commonIdx := vz.vocab["common"]
-	rareIdx := vz.vocab["rare"]
+	commonIdx := vz.table.terms()["common"]
+	rareIdx := vz.table.terms()["rare"]
 	for _, f := range v {
 		if f.Index == commonIdx {
 			commonW = f.Value
@@ -140,12 +140,12 @@ func TestSmoothedIDFFormula(t *testing.T) {
 	vz.Fit(docs)
 	// df(aa)=3, n=4 => idf = ln(5/4)+1
 	want := math.Log(5.0/4.0) + 1
-	if got := vz.idf[vz.vocab["aa"]]; math.Abs(got-want) > 1e-12 {
+	if got := vz.idf[vz.table.terms()["aa"]]; math.Abs(got-want) > 1e-12 {
 		t.Errorf("idf(aa) = %f, want %f", got, want)
 	}
 	// df(dd)=1 => ln(5/2)+1
 	want = math.Log(5.0/2.0) + 1
-	if got := vz.idf[vz.vocab["dd"]]; math.Abs(got-want) > 1e-12 {
+	if got := vz.idf[vz.table.terms()["dd"]]; math.Abs(got-want) > 1e-12 {
 		t.Errorf("idf(dd) = %f, want %f", got, want)
 	}
 }
@@ -172,10 +172,10 @@ func TestBigramsOption(t *testing.T) {
 	if bi.VocabSize() <= uni.VocabSize() {
 		t.Errorf("bigram vocab %d should exceed unigram %d", bi.VocabSize(), uni.VocabSize())
 	}
-	if _, ok := bi.vocab["new york"]; !ok {
+	if _, ok := bi.table.terms()["new york"]; !ok {
 		t.Error("bigram 'new york' missing from vocabulary")
 	}
-	if _, ok := uni.vocab["new york"]; ok {
+	if _, ok := uni.table.terms()["new york"]; ok {
 		t.Error("unigram vectorizer learned a bigram")
 	}
 }
@@ -190,10 +190,10 @@ func TestSublinearTF(t *testing.T) {
 	ratio := func(v Vector, vz *Vectorizer) float64 {
 		var w, o float64
 		for _, f := range v {
-			if f.Index == vz.vocab["word"] {
+			if f.Index == vz.table.terms()["word"] {
 				w = f.Value
 			}
-			if f.Index == vz.vocab["other"] {
+			if f.Index == vz.table.terms()["other"] {
 				o = f.Value
 			}
 		}
@@ -208,10 +208,10 @@ func TestMinDF(t *testing.T) {
 	docs := []string{"keep drop1", "keep drop2", "keep drop3"}
 	vz := NewVectorizer(Options{MinDF: 2})
 	vz.Fit(docs)
-	if _, ok := vz.vocab["keep"]; !ok {
+	if _, ok := vz.table.terms()["keep"]; !ok {
 		t.Error("term above MinDF was dropped")
 	}
-	if _, ok := vz.vocab["drop1"]; ok {
+	if _, ok := vz.table.terms()["drop1"]; ok {
 		t.Error("term below MinDF was kept")
 	}
 }
@@ -222,12 +222,12 @@ func TestDeterministicIndexing(t *testing.T) {
 	a.Fit(docs)
 	b := NewVectorizer(Options{})
 	b.Fit(docs)
-	if !reflect.DeepEqual(a.vocab, b.vocab) {
+	if !reflect.DeepEqual(a.table.terms(), b.table.terms()) {
 		t.Error("vocabulary indexing not deterministic")
 	}
 	// Sorted assignment: apple < banana < mango < zebra.
-	if a.vocab["apple"] != 0 || a.vocab["zebra"] != 3 {
-		t.Errorf("vocab not sorted: %v", a.vocab)
+	if a.table.terms()["apple"] != 0 || a.table.terms()["zebra"] != 3 {
+		t.Errorf("vocab not sorted: %v", a.table.terms())
 	}
 }
 

@@ -24,10 +24,20 @@ import (
 // fault injector's abort modes — a handler panic (http.ErrAbortHandler)
 // before any write surfaces as a connection error from Do, after a partial
 // write as an io.ErrUnexpectedEOF mid-body, exactly the two shapes a
-// severed TCP connection produces. Context cancellation abandons the
-// in-flight handler just as a wire client abandons its connection: the
-// stalled handler keeps running (and unblocks on the request context, as
-// the injector's stall mode does) while the caller returns at its deadline.
+// severed TCP connection produces.
+//
+// The handler runs on the calling goroutine: no goroutine is spawned and
+// no channel is crossed per request. The cancellation contract is
+// therefore that handlers honor the request context — the injector's
+// stall mode selects on r.Context().Done(), and no site or OSN handler
+// blocks — and a context that expired while the handler ran is reported
+// as the round trip's error once it returns, as a wire client reports its
+// deadline. Any panic other than http.ErrAbortHandler is re-raised on the
+// caller's stack. This deliberately differs from net/http's server, which
+// logs the panic and closes the connection: in process, a panicking
+// handler is a simulator bug, and turning it into a connection error
+// would have the Fetcher retry it as a network fault and bury it in a
+// failure count.
 //
 // Hosts without a registered handler fall through to the real transport,
 // so the loopback listeners stay reachable for anything else.
@@ -118,23 +128,14 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	x := exchangePool.Get().(*inprocExchange)
 	x.closed = false
-	done := make(chan struct{})
-	var panicked any
-	go func() {
-		defer func() {
-			panicked = recover()
-			close(done)
-		}()
-		h.ServeHTTP(x, req)
-	}()
-	select {
-	case <-ctx.Done():
-		// The handler may still be running and writing into x, so x is
-		// abandoned to the GC rather than pooled.
-		return nil, ctx.Err()
-	case <-done:
+	aborted := serveInline(h, x, req)
+	if err := ctx.Err(); err != nil {
+		// The handler has returned, so x is no longer written to and goes
+		// back to the pool.
+		_ = x.Close()
+		return nil, err
 	}
-	if panicked != nil && !x.wrote {
+	if aborted && !x.wrote {
 		// Abort before any response bytes (the injector's reset mode):
 		// the wire client's Do fails with a connection error.
 		_ = x.Close()
@@ -146,7 +147,7 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			cl = n
 		}
 	}
-	if panicked != nil && int64(len(x.buf)) < cl {
+	if aborted && int64(len(x.buf)) < cl {
 		// Abort mid-body with the full Content-Length advertised (stall and
 		// truncate modes): the wire client reads a short body ending in an
 		// unexpected EOF.
@@ -162,4 +163,19 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		ContentLength: cl,
 		Request:       req,
 	}, nil
+}
+
+// serveInline runs h on the calling goroutine and reports whether it
+// aborted with http.ErrAbortHandler. Any other panic value propagates.
+func serveInline(h http.Handler, x *inprocExchange, req *http.Request) (aborted bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			if p != http.ErrAbortHandler {
+				panic(p)
+			}
+			aborted = true
+		}
+	}()
+	h.ServeHTTP(x, req)
+	return false
 }

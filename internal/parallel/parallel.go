@@ -10,7 +10,10 @@
 // mutation lives in the ordered commit, never in the workers.
 package parallel
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // ForEach invokes fn(i) for every i in [0, n), running at most workers
 // calls concurrently. workers <= 1 (or n <= 1) degrades to a plain loop on
@@ -40,6 +43,11 @@ func Workers(n, workers int) int {
 // item index, and no two concurrent calls share a worker id — so fn may
 // freely reuse scratch[w] without locks. The sequential degradation rule is
 // ForEach's: one worker, id 0, on the calling goroutine.
+//
+// With more than one worker, items are handed out by a single atomic index
+// counter: each worker claims the next unclaimed index until none remain.
+// The caller runs as worker 0 and spawns the other workers-1 goroutines, so
+// there is no feeder goroutine and no channel handoff per item.
 func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	workers = Workers(n, workers)
 	if workers <= 1 {
@@ -48,20 +56,36 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 		}
 		return
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range idx {
-				fn(w, i)
-			}
-		}(w)
+	s := &sweep{n: int64(n), fn: fn}
+	s.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go s.spawned(w)
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
+	s.work(0)
+	s.wg.Wait()
+}
+
+// sweep is one ForEachWorker call's shared state.
+type sweep struct {
+	next atomic.Int64 // the next unclaimed index
+	n    int64
+	fn   func(worker, i int)
+	wg   sync.WaitGroup
+}
+
+// spawned is work for a worker on a goroutine of its own.
+func (s *sweep) spawned(w int) {
+	defer s.wg.Done()
+	s.work(w)
+}
+
+// work runs fn as worker w over claimed indices until none remain.
+func (s *sweep) work(w int) {
+	for {
+		i := s.next.Add(1) - 1
+		if i >= s.n {
+			return
+		}
+		s.fn(w, int(i))
 	}
-	close(idx)
-	wg.Wait()
 }

@@ -1,6 +1,9 @@
 package parallel
 
 import (
+	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -123,4 +126,68 @@ func TestForEachWorkerExclusiveIDs(t *testing.T) {
 		}
 		atomic.StoreInt32(&busy[w], 0)
 	})
+}
+
+func TestForEachBarrierAllInFlight(t *testing.T) {
+	// workers == n with every item waiting until all n are in flight: the
+	// sharded driver's one-goroutine-per-grant round has this shape, and it
+	// completes only if each item gets a worker of its own.
+	for _, n := range []int{2, 3, 8} {
+		var arrived sync.WaitGroup
+		arrived.Add(n)
+		ForEach(n, n, func(int) {
+			arrived.Done()
+			arrived.Wait()
+		})
+	}
+}
+
+func TestForEachNested(t *testing.T) {
+	// Source polls fan out, and each poll fans its fetches out again.
+	const outer, inner = 5, 37
+	var hits [outer][inner]int32
+	ForEach(outer, 3, func(i int) {
+		ForEachWorker(inner, 4, func(_, j int) { atomic.AddInt32(&hits[i][j], 1) })
+	})
+	for i := range hits {
+		for j, h := range hits[i] {
+			if h != 1 {
+				t.Fatalf("item (%d,%d) visited %d times", i, j, h)
+			}
+		}
+	}
+}
+
+func TestForEachSmallNSpawnsNothing(t *testing.T) {
+	// n <= 1 runs on the caller: no goroutine is started, even with many
+	// workers requested.
+	for _, n := range []int{0, 1} {
+		before := runtime.NumGoroutine()
+		ForEachWorker(n, 8, func(w, _ int) {
+			if w != 0 {
+				t.Fatalf("n=%d: worker id %d", n, w)
+			}
+			// Goroutines of earlier tests may still be exiting, so only
+			// growth counts.
+			if g := runtime.NumGoroutine(); g > before {
+				t.Fatalf("n=%d: %d goroutines inside fn, %d before", n, g, before)
+			}
+		})
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ForEachWorker(1, 8, func(int, int) {}) }); allocs != 0 {
+		t.Fatalf("ForEachWorker(1, 8) allocated %.1f times", allocs)
+	}
+}
+
+func BenchmarkForEach(b *testing.B) {
+	const n = 64
+	var sink [n]int64
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for it := 0; it < b.N; it++ {
+				ForEach(n, workers, func(i int) { sink[i] += int64(i) })
+			}
+		})
+	}
 }

@@ -2,18 +2,22 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race fuzz-smoke chaos resume-soak stream-soak shard-soak check bench bench-quick bench-json bench-check profile loadtest examples run-pipeline clean
+.PHONY: all build fmt-check vet test test-race fuzz-smoke chaos resume-soak stream-soak shard-soak check bench bench-quick bench-json bench-check profile loadtest examples run-pipeline clean
 
 all: check
 
-# The default verification path: build, vet, tests, the race detector
+# The default verification path: build, a gofmt check, vet, tests, the race detector
 # over the concurrent pipeline (crawler fan-out, worker pool, monitor
 # sweep, chaos suite), a short fuzz smoke over every parser that eats
 # network bytes, and the hot-path benchmark regression gate.
-check: build vet test test-race fuzz-smoke bench-check
+check: build fmt-check vet test test-race fuzz-smoke bench-check
 
 build:
 	$(GO) build ./...
+
+# Every Go file in the checkout must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

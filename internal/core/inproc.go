@@ -90,6 +90,14 @@ func (x *inprocExchange) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
+// WriteString lets io.WriteString append a string body without first
+// copying it into a fresh []byte.
+func (x *inprocExchange) WriteString(s string) (int, error) {
+	x.wrote = true
+	x.buf = append(x.buf, s...)
+	return len(s), nil
+}
+
 func (x *inprocExchange) Read(p []byte) (int, error) {
 	if x.off >= len(x.buf) {
 		if x.abortErr != nil {

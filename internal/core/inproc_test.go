@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -241,35 +242,68 @@ func TestInprocHandlerPanicPropagates(t *testing.T) {
 }
 
 // inprocGetAllocs bounds one warm Fetcher.Get through the in-process
-// transport at its measured value: the request, its URL and deadline
-// context, the response struct, the handler's header map and values, and
+// transport at its measured value: the request, its URL, the attempt
+// deadline, the response struct, the handler's header map and values, and
 // the returned body copy. Dispatching the handler on a goroutine of its own
-// costs 4 more (21 measured), so a return to per-request goroutines fails
-// here.
-const inprocGetAllocs = 17
+// costs 4 more, a per-attempt context.WithTimeout (timer context, timer,
+// timer callback, cancel closure) 3 more and an io.LimitReader around the
+// body 1 more, so a return to any of them fails here.
+const inprocGetAllocs = 13
+
+// inprocTextAllocs bounds one warm GetText of a 4 KiB body that the handler
+// writes with io.WriteString: as for Get, with one header value instead of
+// two and the returned string instead of the body copy. A writer without
+// WriteString makes io.WriteString copy the body into a fresh []byte first,
+// one more.
+const inprocTextAllocs = 12
 
 func TestInprocGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	body := []byte(`{"ok":true}`)
-	cl := strconv.Itoa(len(body))
-	f := inprocFetcher(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", cl)
-		_, _ = w.Write(body)
-	}), time.Second)
 	ctx := context.Background()
-	if _, err := f.Get(ctx, inprocURL); err != nil {
+	t.Run("Get", func(t *testing.T) {
+		body := []byte(`{"ok":true}`)
+		cl := strconv.Itoa(len(body))
+		f := inprocFetcher(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", cl)
+			_, _ = w.Write(body)
+		}), time.Second)
+		measureAllocs(t, inprocGetAllocs, func() error {
+			_, err := f.Get(ctx, inprocURL)
+			return err
+		})
+	})
+	t.Run("GetText", func(t *testing.T) {
+		body := strings.Repeat("x", 4<<10)
+		f := inprocFetcher(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			_, _ = io.WriteString(w, body)
+		}), time.Second)
+		measureAllocs(t, inprocTextAllocs, func() error {
+			got, err := f.GetText(ctx, inprocURL)
+			if err == nil && got != body {
+				err = errors.New("GetText returned a different body")
+			}
+			return err
+		})
+	})
+}
+
+// measureAllocs fails t when a warm call of fetch allocates more than bound.
+func measureAllocs(t *testing.T, bound int, fetch func() error) {
+	t.Helper()
+	if err := fetch(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := f.Get(ctx, inprocURL); err != nil {
+		if err := fetch(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%.1f allocs per warm Get", allocs)
-	if allocs > inprocGetAllocs {
-		t.Fatalf("%.1f allocs per warm Get, bound %d", allocs, inprocGetAllocs)
+	t.Logf("%.1f allocs per warm fetch", allocs)
+	if allocs > float64(bound) {
+		t.Fatalf("%.1f allocs per warm fetch, bound %d", allocs, bound)
 	}
 }

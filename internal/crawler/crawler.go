@@ -505,15 +505,20 @@ func putReadBuf(bp *[]byte) {
 	readBufPool.Put(bp)
 }
 
+// maxBody caps one response body. A longer body is cut at the cap; when it
+// advertised its full Content-Length, the cut shows as ErrTruncatedBody.
+const maxBody = 16 << 20
+
 // appendAll is io.ReadAll into a caller-owned buffer: appends r's bytes to
-// buf, growing as needed, with io.EOF mapped to success and every other
-// error (including io.ErrUnexpectedEOF) passed through.
+// buf, growing as needed, until EOF or until buf holds maxBody bytes, with
+// io.EOF mapped to success and every other error (including
+// io.ErrUnexpectedEOF) passed through.
 func appendAll(r io.Reader, buf []byte) ([]byte, error) {
-	for {
+	for len(buf) < maxBody {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
+		n, err := r.Read(buf[len(buf):min(cap(buf), maxBody)])
 		buf = buf[:len(buf)+n]
 		if err != nil {
 			if err == io.EOF {
@@ -522,15 +527,16 @@ func appendAll(r io.Reader, buf []byte) ([]byte, error) {
 			return buf, err
 		}
 	}
+	return buf, nil
 }
 
 // once runs a single fetch attempt. On success the body is returned in a
 // pooled buffer which the caller must release via putReadBuf.
 func (f *Fetcher) once(ctx context.Context, url string) (*[]byte, error) {
 	if f.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.opts.RequestTimeout)
-		defer cancel()
+		actx := newAttemptCtx(ctx, f.opts.RequestTimeout)
+		defer actx.release()
+		ctx = actx
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -565,7 +571,7 @@ func (f *Fetcher) once(ctx context.Context, url string) (*[]byte, error) {
 	// The body read runs under the same per-attempt deadline as the dial,
 	// so a stalled transfer ends in a timeout, not a hung poll.
 	bp := readBufPool.Get().(*[]byte)
-	body, err := appendAll(io.LimitReader(resp.Body, 16<<20), (*bp)[:0])
+	body, err := appendAll(resp.Body, (*bp)[:0])
 	*bp = body[:0] // keep the grown capacity pooled whatever happens below
 	switch {
 	case err != nil && errors.Is(err, io.ErrUnexpectedEOF):
@@ -749,11 +755,16 @@ func (b *breaker) record(healthy bool) bool {
 
 // The Into variants decode into caller-owned storage so the pollers can
 // reuse one decode target across pages and threads (json.Unmarshal reuses a
-// slice's backing array when the capacity suffices). The value-returning
-// wrappers remain the fuzz-target entry points.
+// slice's backing array when the capacity suffices). json.Unmarshal grows a
+// slice over its old backing array without zeroing the elements it reuses,
+// and a field absent from the input keeps its old value, so every element
+// up to the capacity is zeroed first; the catalog keeps each page's
+// Threads backing array, zeroed the same way. The value-returning wrappers
+// remain the fuzz-target entry points.
 
 func parseListingInto(raw []byte, dst []pasteMeta) ([]pasteMeta, error) {
 	dst = dst[:0]
+	clear(dst[:cap(dst)])
 	if err := json.Unmarshal(raw, &dst); err != nil {
 		return dst[:0], fmt.Errorf("bad listing: %w (%v)", ErrCorruptPayload, err)
 	}
@@ -761,7 +772,13 @@ func parseListingInto(raw []byte, dst []pasteMeta) ([]pasteMeta, error) {
 }
 
 func parseCatalogInto(raw []byte, dst []catalogPage) ([]catalogPage, error) {
-	dst = dst[:0]
+	all := dst[:cap(dst)]
+	for i := range all {
+		th := all[i].Threads
+		clear(th[:cap(th)])
+		all[i] = catalogPage{Threads: th[:0]}
+	}
+	dst = all[:0]
 	if err := json.Unmarshal(raw, &dst); err != nil {
 		return dst[:0], fmt.Errorf("bad catalog: %w (%v)", ErrCorruptPayload, err)
 	}
@@ -770,6 +787,7 @@ func parseCatalogInto(raw []byte, dst []catalogPage) ([]catalogPage, error) {
 
 func parseThreadInto(raw []byte, tj *threadJSON) error {
 	tj.Posts = tj.Posts[:0]
+	clear(tj.Posts[:cap(tj.Posts)])
 	if err := json.Unmarshal(raw, tj); err != nil {
 		tj.Posts = tj.Posts[:0]
 		return fmt.Errorf("bad thread: %w (%v)", ErrCorruptPayload, err)

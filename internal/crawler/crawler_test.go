@@ -2,6 +2,8 @@ package crawler
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -405,5 +407,100 @@ func TestBadJSONSurfaced(t *testing.T) {
 	}
 	if _, err := NewBoard(srv.URL, "b", "x", Options{}).Poll(context.Background()); err == nil {
 		t.Error("bad catalog JSON accepted")
+	}
+}
+
+// roundTripFunc serves a Fetcher without a network or a server.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+type zeroReader struct{}
+
+func (zeroReader) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestBodyReadCap pins the 16 MiB body cap: a longer body without a
+// Content-Length comes back cut at exactly the cap; one that advertised its
+// full length fails as truncated.
+func TestBodyReadCap(t *testing.T) {
+	const capBytes = 16 << 20
+	const over = capBytes + 1000
+	for _, tc := range []struct {
+		name          string
+		contentLength int64
+		wantErr       error
+	}{
+		{"no content length", -1, nil},
+		{"content length beyond the cap", over, ErrTruncatedBody},
+	} {
+		f := NewFetcher(Options{
+			Retries:          -1,
+			BreakerThreshold: -1,
+			Client: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				return &http.Response{
+					StatusCode:    http.StatusOK,
+					Header:        http.Header{},
+					Body:          io.NopCloser(io.LimitReader(zeroReader{}, over)),
+					ContentLength: tc.contentLength,
+					Request:       r,
+				}, nil
+			})},
+		})
+		n := -1
+		err := f.GetFunc(context.Background(), "http://big.invalid/", nil, func(body []byte) { n = len(body) })
+		switch {
+		case tc.wantErr == nil && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr == nil && n != capBytes:
+			t.Errorf("%s: body %d bytes, want exactly %d", tc.name, n, capBytes)
+		case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestParseIntoDirtyTarget: a reused decode target must not leak fields of
+// what it held before into an element whose input omits them.
+func TestParseIntoDirtyTarget(t *testing.T) {
+	listing, err := parseListingInto([]byte(`[{"key":"a","title":"old title","date":1},{"key":"b","title":"t","date":2}]`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing, err = parseListingInto([]byte(`[{"key":"c","date":3}]`), listing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []pasteMeta{{Key: "c", Date: 3}}; len(listing) != 1 || listing[0] != want[0] {
+		t.Errorf("listing over a dirty target = %+v, want %+v", listing, want)
+	}
+	if stale := listing[:2][1]; stale != (pasteMeta{}) {
+		t.Errorf("element past the decoded length still holds %+v", stale)
+	}
+
+	pages, err := parseCatalogInto([]byte(`[{"page":4,"threads":[{"no":1,"last_modified":10},{"no":2,"last_modified":20}]}]`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, err = parseCatalogInto([]byte(`[{"threads":[{"no":3}]}]`), pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) != 1 || pages[0].Page != 0 || len(pages[0].Threads) != 1 ||
+		pages[0].Threads[0].No != 3 || pages[0].Threads[0].LastModified != 0 {
+		t.Errorf("catalog over a dirty target = %+v, want one page 0 with thread 3 at last_modified 0", pages)
+	}
+
+	var tj threadJSON
+	if err := parseThreadInto([]byte(`{"posts":[{"no":1,"time":1,"com":"old body"}]}`), &tj); err != nil {
+		t.Fatal(err)
+	}
+	if err := parseThreadInto([]byte(`{"posts":[{"no":2,"time":2}]}`), &tj); err != nil {
+		t.Fatal(err)
+	}
+	if len(tj.Posts) != 1 || tj.Posts[0].No != 2 || tj.Posts[0].Com != "" {
+		t.Errorf("thread over a dirty target = %+v, want post 2 with no body", tj.Posts)
 	}
 }

@@ -3,6 +3,7 @@ package crawler
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +11,9 @@ import (
 // feeds these functions whatever a faulting, truncating, corrupting
 // network delivers, so the contract under fuzzing is total safety: no
 // panic on any input, errors always wrap ErrCorruptPayload, and parsing is
-// deterministic (same bytes, same result).
+// deterministic (same bytes, same result). The pollers decode into reused
+// targets, so each target also checks that the Into form over a target
+// still holding an earlier, fully populated decode equals a fresh parse.
 
 func fuzzSeeds(f *testing.F, seeds ...string) {
 	f.Helper()
@@ -18,6 +21,14 @@ func fuzzSeeds(f *testing.F, seeds ...string) {
 		f.Add([]byte(s))
 	}
 }
+
+// Earlier decodes the dirty targets start from: every field of every
+// element set, more elements than most fuzz inputs carry.
+const (
+	dirtyListing = `[{"key":"k1","title":"stale","date":1},{"key":"k2","title":"stale","date":2},{"key":"k3","title":"stale","date":3}]`
+	dirtyCatalog = `[{"page":7,"threads":[{"no":1,"last_modified":9},{"no":2,"last_modified":9}]},{"page":8,"threads":[{"no":3,"last_modified":9},{"no":4,"last_modified":9},{"no":5,"last_modified":9}]}]`
+	dirtyThread  = `{"posts":[{"no":1,"time":9,"com":"stale"},{"no":2,"time":9,"com":"stale"},{"no":3,"time":9,"com":"stale"}]}`
+)
 
 func FuzzParseListing(f *testing.F) {
 	fuzzSeeds(f,
@@ -41,6 +52,14 @@ func FuzzParseListing(f *testing.F) {
 		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(page, again) {
 			t.Fatal("parseListing not deterministic")
 		}
+		dirty, derr := parseListingInto([]byte(dirtyListing), nil)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		into, err3 := parseListingInto(raw, dirty)
+		if (err == nil) != (err3 == nil) || (err == nil && !slices.Equal(page, into)) {
+			t.Fatalf("parseListingInto over a dirty target = %+v, fresh parse %+v", into, page)
+		}
 	})
 }
 
@@ -61,6 +80,15 @@ func FuzzParseCatalog(f *testing.F) {
 		again, err2 := parseCatalog(raw)
 		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(pages, again) {
 			t.Fatal("parseCatalog not deterministic")
+		}
+		dirty, derr := parseCatalogInto([]byte(dirtyCatalog), nil)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		into, err3 := parseCatalogInto(raw, dirty)
+		samePage := func(a, b catalogPage) bool { return a.Page == b.Page && slices.Equal(a.Threads, b.Threads) }
+		if (err == nil) != (err3 == nil) || (err == nil && !slices.EqualFunc(pages, into, samePage)) {
+			t.Fatalf("parseCatalogInto over a dirty target = %+v, fresh parse %+v", into, pages)
 		}
 	})
 }
@@ -85,6 +113,14 @@ func FuzzParseThread(f *testing.F) {
 		again, err2 := parseThread(raw)
 		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(tj, again) {
 			t.Fatal("parseThread not deterministic")
+		}
+		var dirty threadJSON
+		if derr := parseThreadInto([]byte(dirtyThread), &dirty); derr != nil {
+			t.Fatal(derr)
+		}
+		err3 := parseThreadInto(raw, &dirty)
+		if (err == nil) != (err3 == nil) || (err == nil && !slices.Equal(tj.Posts, dirty.Posts)) {
+			t.Fatalf("parseThreadInto over a dirty target = %+v, fresh parse %+v", dirty.Posts, tj.Posts)
 		}
 		// The validator view must agree with the parser.
 		if verr := validThread(raw); (verr == nil) != (err == nil) {

@@ -74,7 +74,7 @@ type Lease struct {
 	Key string
 	// Holder is the worker index the lease was granted to.
 	Holder int
-	gen uint64
+	gen    uint64
 }
 
 // Event describes one lease-state transition worth auditing (currently

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -43,6 +44,13 @@ type statusWriter struct {
 func (sw *statusWriter) WriteHeader(code int) {
 	sw.code = code
 	sw.ResponseWriter.WriteHeader(code)
+}
+
+// WriteString passes io.WriteString through to the wrapped writer, so a
+// handler writing a string body is not made to copy it into a []byte just
+// because metrics are on.
+func (sw *statusWriter) WriteString(s string) (int, error) {
+	return io.WriteString(sw.ResponseWriter, s)
 }
 
 // HTTPMetrics wraps an http.Handler with per-route request counting and

@@ -87,6 +87,42 @@ func TestHTTPMetricsMiddleware(t *testing.T) {
 	}
 }
 
+// stringCountingRecorder counts the string writes that reach it.
+type stringCountingRecorder struct {
+	*httptest.ResponseRecorder
+	strings int
+}
+
+func (r *stringCountingRecorder) WriteString(s string) (int, error) {
+	r.strings++
+	return r.ResponseRecorder.WriteString(s)
+}
+
+// TestHTTPMetricsWriteString: a handler writing its body with
+// io.WriteString behind the metrics wrapper reaches the underlying
+// writer's WriteString, and the wrapper still counts the status code.
+func TestHTTPMetricsWriteString(t *testing.T) {
+	reg := NewRegistry()
+	const body = "short and stout"
+	h := HTTPMetrics(reg, "pot", nil, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusTeapot)
+		_, _ = io.WriteString(w, body)
+	}))
+	rec := &stringCountingRecorder{ResponseRecorder: httptest.NewRecorder()}
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/brew", nil))
+	if rec.Code != http.StatusTeapot || rec.Body.String() != body {
+		t.Errorf("response %d %q, want 418 %q", rec.Code, rec.Body.String(), body)
+	}
+	if rec.strings != 1 {
+		t.Errorf("%d WriteString calls reached the underlying writer, want 1", rec.strings)
+	}
+	var out strings.Builder
+	reg.WritePrometheus(&out)
+	if want := `doxmeter_http_requests_total{service="pot",route="/brew",code="418"} 1`; !strings.Contains(out.String(), want) {
+		t.Errorf("missing %q in:\n%s", want, out.String())
+	}
+}
+
 func TestHTTPMetricsNilRegistryPassThrough(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(204) })
 	h := HTTPMetrics(nil, "x", nil, inner)

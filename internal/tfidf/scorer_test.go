@@ -44,7 +44,7 @@ var scorerDocs = []string{
 	"unknown terms only here",
 	"name: John Smith, age: 44, email a@b.com",
 	"NAME NAME name the the THE fox",
-	"é",      // single multibyte rune: not a token
+	"é",     // single multibyte rune: not a token
 	"日本 東京", // multibyte tokens
 	"Éé café CAFÉ",
 	"a b c d ee",

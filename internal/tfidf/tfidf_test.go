@@ -46,13 +46,13 @@ func TestTokenizeRuneLength(t *testing.T) {
 		in   string
 		want []string
 	}{
-		{"é", nil},            // 2 bytes, 1 rune: not a token
-		{"日", nil},            // 3 bytes, 1 rune: not a token
+		{"é", nil}, // 2 bytes, 1 rune: not a token
+		{"日", nil}, // 3 bytes, 1 rune: not a token
 		{"éé", []string{"éé"}},
 		{"日本", []string{"日本"}},
-		{"é a 日 b", nil},      // all single-rune/char fragments dropped
+		{"é a 日 b", nil}, // all single-rune/char fragments dropped
 		{"café 東京 x", []string{"café", "東京"}},
-		{"É", nil},            // uppercase single rune, still dropped
+		{"É", nil},             // uppercase single rune, still dropped
 		{"Éé", []string{"éé"}}, // lowercased multibyte token
 	}
 	for _, c := range cases {
